@@ -161,8 +161,10 @@ impl SimCluster {
         }
     }
 
-    /// Execute per-node block ranges **in parallel** (one thread per node,
-    /// default [`ExecOptions`]).
+    /// Execute per-node block ranges **in parallel** on the tree-walk
+    /// interpreter (one thread per node). The compiled engines run through
+    /// [`SimCluster::run_program_parallel`] instead, on a program compiled
+    /// once per launch.
     ///
     /// `assignments[i]` is the block range node `i` executes. Ranges need
     /// not be disjoint — callback phases intentionally run the same blocks
@@ -174,44 +176,22 @@ impl SimCluster {
         assignments: &[Range<u64>],
         args: &[Arg],
     ) -> Result<Vec<BlockStats>, ExecError> {
-        self.run_blocks_parallel_opts(kernel, launch, assignments, args, &ExecOptions::default())
-    }
-
-    /// [`SimCluster::run_blocks_parallel`] with explicit executor options.
-    /// On the bytecode path the kernel is compiled **once** and the program
-    /// shared read-only by every node thread.
-    pub fn run_blocks_parallel_opts(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        assignments: &[Range<u64>],
-        args: &[Arg],
-        opts: &ExecOptions,
-    ) -> Result<Vec<BlockStats>, ExecError> {
         assert_eq!(assignments.len(), self.pools.len());
-        match opts.engine {
-            EngineKind::TreeWalk => {
-                let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .pools
-                        .iter_mut()
-                        .zip(assignments.iter().cloned())
-                        .map(|(pool, range)| {
-                            s.spawn(move || execute_block_range(kernel, launch, range, args, pool))
-                        })
-                        .collect();
-                    for h in handles {
-                        results.push(h.join().expect("node thread panicked"));
-                    }
-                });
-                results.into_iter().collect()
+        let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = self
+                .pools
+                .iter_mut()
+                .zip(assignments.iter().cloned())
+                .map(|(pool, range)| {
+                    s.spawn(move || execute_block_range(kernel, launch, range, args, pool))
+                })
+                .collect();
+            for h in handles {
+                results.push(h.join().expect("node thread panicked"));
             }
-            EngineKind::Bytecode | EngineKind::Simd => {
-                let prog = Program::compile(kernel, launch, args)?;
-                self.run_program_parallel(&prog, assignments, opts)
-            }
-        }
+        });
+        results.into_iter().collect()
     }
 
     /// Execute per-node block ranges of an already-compiled [`Program`] in
@@ -587,19 +567,22 @@ mod tests {
             0..launch.num_blocks() / 2,
             launch.num_blocks() / 2..launch.num_blocks(),
         ];
+        let args = |b| [Arg::Buffer(b), Arg::int(n as i64)];
         let run = |opts: &ExecOptions| {
             let mut c = small_cluster(2);
             let b = c.alloc(n as usize * 4);
-            let args = [Arg::Buffer(b), Arg::int(n as i64)];
+            let prog = Program::compile(&k, launch, &args(b)).unwrap();
+            let stats = c.run_program_parallel(&prog, &assignments, opts).unwrap();
+            (stats, c.read(0, b).to_vec(), c.read(1, b).to_vec())
+        };
+        let tree = {
+            let mut c = small_cluster(2);
+            let b = c.alloc(n as usize * 4);
             let stats = c
-                .run_blocks_parallel_opts(&k, launch, &assignments, &args, opts)
+                .run_blocks_parallel(&k, launch, &assignments, &args(b))
                 .unwrap();
             (stats, c.read(0, b).to_vec(), c.read(1, b).to_vec())
         };
-        let tree = run(&ExecOptions {
-            engine: EngineKind::TreeWalk,
-            ..ExecOptions::default()
-        });
         let byte = run(&ExecOptions {
             engine: EngineKind::Bytecode,
             ..ExecOptions::default()

@@ -26,8 +26,8 @@
 //! data-dependent decisions remain valid — the same assumption CUDA
 //! graphs make about captured kernel parameters. The schedule cache key
 //! covers everything else (kernel identity, launch geometry, scalar bits,
-//! cluster shape, engine knobs), and any cluster-shape change evicts the
-//! whole cache.
+//! interned cluster shape, engine knobs), so a membership change re-keys
+//! the lookup instead of reusing a schedule planned for another shape.
 //!
 //! Elision soundness rests on the `Must` footprint being an
 //! *over-approximation* of all accesses: if the hull of a consumer's

@@ -55,8 +55,8 @@ impl RunOptions {
 }
 
 /// A [`RuntimeConfig`] is a complete [`RunOptions`] with the session
-/// knobs at their defaults — so every legacy `(spec, config)` call site
-/// flows into [`crate::CuccCluster::with_options`] unchanged.
+/// knobs at their defaults — so a `(spec, config)` call site flows into
+/// [`crate::CuccCluster::with_options`] unchanged.
 impl From<RuntimeConfig> for RunOptions {
     fn from(runtime: RuntimeConfig) -> RunOptions {
         RunOptions {
@@ -67,8 +67,7 @@ impl From<RuntimeConfig> for RunOptions {
 }
 
 /// Chainable constructor for [`RunOptions`]: the runtime knobs of
-/// [`crate::runtime::RuntimeConfigBuilder`] plus the session knobs, one
-/// builder for both.
+/// [`RuntimeConfig`] plus the session knobs, one builder for both.
 ///
 /// ```
 /// use cucc_core::RunOptions;
@@ -215,10 +214,11 @@ mod tests {
 
     #[test]
     fn from_runtime_config_preserves_every_knob() {
-        let cfg = RuntimeConfig::builder()
-            .sanitize(true)
-            .node_threads(2)
-            .build();
+        let cfg = RuntimeConfig {
+            sanitize: true,
+            node_threads: 2,
+            ..RuntimeConfig::default()
+        };
         let opts: RunOptions = cfg.clone().into();
         assert_eq!(opts.runtime, cfg);
         assert_eq!(opts.streams, 0);

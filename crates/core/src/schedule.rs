@@ -16,10 +16,9 @@
 //! dependencies and the ready times of the lanes it occupies), and the
 //! planning stage has no side effects so it can run at submission time.
 //!
-//! Bit-for-bit guarantee: the arithmetic here is the launch path's legacy
-//! cost model, evaluated in the same order on the same inputs — the
-//! execution stage re-derives the same numbers from the recorded spans and
-//! asserts equality on every launch.
+//! The phase durations planned here are what the execution stage lays out
+//! as spans; the launch report is then read back from those spans, so the
+//! timeline is the report's only accounting source.
 
 use crate::compile::CompiledKernel;
 use crate::error::MigrateError;
@@ -188,16 +187,12 @@ pub fn schedule_key(
 /// interned shape id in [`ScheduleKey`] guarantees a schedule planned for
 /// one (node count, alive mask) pair can never serve another, and a
 /// cluster that returns to a previously seen shape (node death followed by
-/// a rejoin) warm-hits the entries it planned there. Wholesale
-/// [`ScheduleCache::invalidate_all`] remains available for explicit
-/// reconfiguration (engine or cost-model knob changes outside the key).
+/// a rejoin) warm-hits the entries it planned there.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     map: HashMap<ScheduleKey, LaunchSchedule>,
     hits: u64,
     misses: u64,
-    evictions: u64,
-    last_invalidation: Option<String>,
 }
 
 impl ScheduleCache {
@@ -225,15 +220,6 @@ impl ScheduleCache {
         self.map.insert(key, schedule);
     }
 
-    /// Drop every cached schedule (cluster shape changed: node death,
-    /// degradation, or an explicit reconfiguration). Records why, for
-    /// diagnostics.
-    pub fn invalidate_all(&mut self, reason: &str) {
-        self.evictions += self.map.len() as u64;
-        self.map.clear();
-        self.last_invalidation = Some(reason.to_string());
-    }
-
     /// Cached entry count.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -254,11 +240,6 @@ impl ScheduleCache {
         self.misses
     }
 
-    /// Entries dropped by [`ScheduleCache::invalidate_all`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// `hits / (hits + misses)`, or 0 when never queried.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -269,11 +250,6 @@ impl ScheduleCache {
         }
     }
 
-    /// Reason string from the most recent invalidation, if any.
-    pub fn last_invalidation(&self) -> Option<&str> {
-        self.last_invalidation.as_deref()
-    }
-
     /// Counter snapshot: one value the CLI, serving stats and benches can
     /// carry around (and diff) instead of reading four counters under a
     /// `--graph`-only code path.
@@ -282,7 +258,6 @@ impl ScheduleCache {
             hits: self.hits,
             misses: self.misses,
             entries: self.map.len(),
-            evictions: self.evictions,
         }
     }
 }
@@ -298,8 +273,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently cached.
     pub entries: usize,
-    /// Entries dropped by wholesale invalidation.
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -310,7 +283,6 @@ impl CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             entries: self.entries,
-            evictions: self.evictions - earlier.evictions,
         }
     }
 

@@ -75,7 +75,7 @@ use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
     compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, JobServer, RunOptions,
-    ServeConfig, ServePolicy,
+    RunOptionsBuilder, ServeConfig, ServePolicy,
 };
 use cucc::exec::Arg;
 use cucc::gpu_model::{GpuDevice, GpuSpec};
@@ -492,25 +492,109 @@ enum CliArg {
     Float(f64),
 }
 
+/// The flags `cucc run` and `cucc serve` share — which simulated cluster
+/// to build and how its runtime executes — parsed once for both.
 #[derive(Debug)]
-struct RunOpts {
+struct ClusterOpts {
     cluster: String,
     nodes: u32,
+    modeled: bool,
+    engine: EngineKind,
+    node_threads: usize,
+    faults: Vec<String>,
+    trace: Option<String>,
+}
+
+/// The value following the flag at `args[*i]`; advances `i` onto it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> Result<&'a String, String> {
+    *i += 1;
+    args.get(*i)
+        .ok_or_else(|| format!("missing value after `{}`", args[*i - 1]))
+}
+
+impl ClusterOpts {
+    fn new(nodes: u32) -> ClusterOpts {
+        ClusterOpts {
+            cluster: "simd".into(),
+            nodes,
+            modeled: false,
+            engine: EngineKind::default(),
+            node_threads: 0,
+            faults: Vec::new(),
+            trace: None,
+        }
+    }
+
+    /// Parse the shared flag at `args[*i]`, with its value. `Ok(false)`
+    /// when the flag is not one of the shared ones.
+    fn parse_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let need = |i: &mut usize| flag_value(args, i);
+        match args[*i].as_str() {
+            "--cluster" => self.cluster = need(i)?.clone(),
+            "--nodes" => self.nodes = need(i)?.parse().map_err(|e| format!("--nodes: {e}"))?,
+            "--modeled" => self.modeled = true,
+            "--engine" => {
+                let v = need(i)?;
+                self.engine = EngineKind::parse(v).ok_or_else(|| {
+                    format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
+                })?;
+            }
+            "--node-threads" => {
+                self.node_threads = need(i)?
+                    .parse()
+                    .map_err(|e| format!("--node-threads: {e}"))?;
+            }
+            "--fault" => self.faults.push(need(i)?.clone()),
+            "--trace" => self.trace = Some(need(i)?.clone()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn spec(&self) -> Result<ClusterSpec, String> {
+        match self.cluster.as_str() {
+            "simd" => Ok(ClusterSpec::simd_focused().with_nodes(self.nodes)),
+            "thread" => Ok(ClusterSpec::thread_focused().with_nodes(self.nodes)),
+            other => Err(format!("unknown cluster `{other}` (simd|thread)")),
+        }
+    }
+
+    /// The runtime options these flags select, for each subcommand to
+    /// extend with its own.
+    fn run_options(&self) -> Result<RunOptionsBuilder, String> {
+        let mut b = RunOptions::builder()
+            .engine(self.engine)
+            .node_threads(self.node_threads);
+        for spec in &self.faults {
+            b = b.fault(spec)?;
+        }
+        if self.modeled {
+            b = b.modeled();
+        }
+        Ok(b)
+    }
+}
+
+#[derive(Debug)]
+struct RunOpts {
+    common: ClusterOpts,
     grid: Dim3,
     block: Dim3,
     args: Vec<CliArg>,
     seed: u64,
-    modeled: bool,
     streams: usize,
     graph: usize,
-    trace: Option<String>,
-    engine: EngineKind,
-    node_threads: usize,
     sanitize: bool,
-    faults: Vec<String>,
     checkpoint: Option<String>,
     restore: Option<String>,
     verbose: bool,
+}
+
+impl std::ops::Deref for RunOpts {
+    type Target = ClusterOpts;
+    fn deref(&self) -> &ClusterOpts {
+        &self.common
+    }
 }
 
 fn parse_dim(s: &str) -> Result<Dim3, String> {
@@ -529,40 +613,25 @@ fn parse_dim(s: &str) -> Result<Dim3, String> {
 impl RunOpts {
     fn parse(args: &[String]) -> Result<RunOpts, String> {
         let mut o = RunOpts {
-            cluster: "simd".into(),
-            nodes: 4,
+            common: ClusterOpts::new(4),
             grid: Dim3::new1(64),
             block: Dim3::new1(256),
             args: Vec::new(),
             seed: 42,
-            modeled: false,
             streams: 0,
             graph: 0,
-            trace: None,
-            engine: EngineKind::default(),
-            node_threads: 0,
             sanitize: false,
-            faults: Vec::new(),
             checkpoint: None,
             restore: None,
             verbose: false,
         };
+        let need = |i: &mut usize| flag_value(args, i);
         let mut i = 0;
-        let need = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i)
-                .ok_or_else(|| format!("missing value after `{}`", args[*i - 1]))
-        };
         while i < args.len() {
             match args[i].as_str() {
-                "--cluster" => o.cluster = need(&mut i)?.clone(),
-                "--nodes" => {
-                    o.nodes = need(&mut i)?.parse().map_err(|e| format!("--nodes: {e}"))?
-                }
                 "--grid" => o.grid = parse_dim(need(&mut i)?)?,
                 "--block" => o.block = parse_dim(need(&mut i)?)?,
                 "--seed" => o.seed = need(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--modeled" => o.modeled = true,
                 "--streams" => {
                     o.streams = need(&mut i)?
                         .parse()
@@ -571,28 +640,19 @@ impl RunOpts {
                 "--graph" => {
                     o.graph = need(&mut i)?.parse().map_err(|e| format!("--graph: {e}"))?;
                 }
-                "--trace" => o.trace = Some(need(&mut i)?.clone()),
                 "--sanitize" => o.sanitize = true,
-                "--engine" => {
-                    let v = need(&mut i)?;
-                    o.engine = EngineKind::parse(v).ok_or_else(|| {
-                        format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
-                    })?;
-                }
-                "--node-threads" => {
-                    o.node_threads = need(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--node-threads: {e}"))?;
-                }
                 "--arg" => {
                     let spec = need(&mut i)?;
                     o.args.push(parse_arg(spec)?);
                 }
-                "--fault" => o.faults.push(need(&mut i)?.clone()),
                 "--checkpoint" => o.checkpoint = Some(need(&mut i)?.clone()),
                 "--restore" => o.restore = Some(need(&mut i)?.clone()),
                 "-v" | "--verbose" => o.verbose = true,
-                other => return Err(format!("unknown option `{other}`")),
+                other => {
+                    if !o.common.parse_flag(args, &mut i)? {
+                        return Err(format!("unknown option `{other}`"));
+                    }
+                }
             }
             i += 1;
         }
@@ -602,18 +662,12 @@ impl RunOpts {
     /// Fold every runtime and session flag into the one typed value the
     /// cluster consumes.
     fn to_run_options(&self) -> Result<RunOptions, String> {
-        let mut b = RunOptions::builder()
-            .engine(self.engine)
-            .node_threads(self.node_threads)
+        let mut b = self
+            .common
+            .run_options()?
             .sanitize(self.sanitize)
             .streams(self.streams)
             .graph_iters(self.graph);
-        for spec in &self.faults {
-            b = b.fault(spec)?;
-        }
-        if self.modeled {
-            b = b.modeled();
-        }
         if let Some(path) = &self.checkpoint {
             b = b.checkpoint_to(path);
         }
@@ -680,44 +734,35 @@ fn cli_buffer_bytes(a: &CliArg, rng: &mut StdRng) -> Option<Vec<u8>> {
 // ------------------------------------------------------------------ serve --
 
 struct ServeOpts {
-    cluster: String,
-    nodes: u32,
+    common: ClusterOpts,
     jobs: usize,
     tenants: u32,
     policy: ServePolicy,
     queue_depth: usize,
     seed: u64,
     gap_us: f64,
-    modeled: bool,
-    engine: EngineKind,
-    node_threads: usize,
-    faults: Vec<String>,
-    trace: Option<String>,
+}
+
+impl std::ops::Deref for ServeOpts {
+    type Target = ClusterOpts;
+    fn deref(&self) -> &ClusterOpts {
+        &self.common
+    }
 }
 
 impl ServeOpts {
     fn parse(args: &[String]) -> Result<ServeOpts, String> {
         let mut o = ServeOpts {
-            cluster: "simd".into(),
-            nodes: 8,
+            common: ClusterOpts::new(8),
             jobs: 200,
             tenants: 8,
             policy: ServePolicy::Fair,
             queue_depth: 0,
             seed: 42,
             gap_us: 200.0,
-            modeled: false,
-            engine: EngineKind::default(),
-            node_threads: 0,
-            faults: Vec::new(),
-            trace: None,
         };
+        let need = |i: &mut usize| flag_value(args, i);
         let mut i = 0;
-        let need = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i)
-                .ok_or_else(|| format!("missing value after `{}`", args[*i - 1]))
-        };
         while i < args.len() {
             match args[i].as_str() {
                 "--synthetic" => {
@@ -744,31 +789,17 @@ impl ServeOpts {
                         .parse()
                         .map_err(|e| format!("--queue-depth: {e}"))?;
                 }
-                "--cluster" => o.cluster = need(&mut i)?.clone(),
-                "--nodes" => {
-                    o.nodes = need(&mut i)?.parse().map_err(|e| format!("--nodes: {e}"))?
-                }
                 "--seed" => o.seed = need(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
                 "--gap-us" => {
                     o.gap_us = need(&mut i)?
                         .parse()
                         .map_err(|e| format!("--gap-us: {e}"))?;
                 }
-                "--modeled" => o.modeled = true,
-                "--engine" => {
-                    let v = need(&mut i)?;
-                    o.engine = EngineKind::parse(v).ok_or_else(|| {
-                        format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
-                    })?;
+                other => {
+                    if !o.common.parse_flag(args, &mut i)? {
+                        return Err(format!("unknown option `{other}`"));
+                    }
                 }
-                "--node-threads" => {
-                    o.node_threads = need(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--node-threads: {e}"))?;
-                }
-                "--fault" => o.faults.push(need(&mut i)?.clone()),
-                "--trace" => o.trace = Some(need(&mut i)?.clone()),
-                other => return Err(format!("unknown option `{other}`")),
             }
             i += 1;
         }
@@ -779,25 +810,12 @@ impl ServeOpts {
     }
 
     fn to_run_options(&self) -> Result<RunOptions, String> {
-        let mut b = RunOptions::builder()
-            .engine(self.engine)
-            .node_threads(self.node_threads);
-        for spec in &self.faults {
-            b = b.fault(spec)?;
-        }
-        if self.modeled {
-            b = b.modeled();
-        }
-        Ok(b.build())
+        Ok(self.common.run_options()?.build())
     }
 }
 
 fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
-    let spec = match opts.cluster.as_str() {
-        "simd" => ClusterSpec::simd_focused().with_nodes(opts.nodes),
-        "thread" => ClusterSpec::thread_focused().with_nodes(opts.nodes),
-        other => return Err(format!("unknown cluster `{other}` (simd|thread)")),
-    };
+    let spec = opts.spec()?;
     let config = ServeConfig {
         policy: opts.policy,
         queue_depth: opts.queue_depth,
@@ -877,11 +895,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         grid: opts.grid,
         block: opts.block,
     };
-    let spec = match opts.cluster.as_str() {
-        "simd" => ClusterSpec::simd_focused().with_nodes(opts.nodes),
-        "thread" => ClusterSpec::thread_focused().with_nodes(opts.nodes),
-        other => return Err(format!("unknown cluster `{other}` (simd|thread)")),
-    };
+    let spec = opts.spec()?;
     let n_buffers = ck.kernel.buffer_params().count();
     let n_buf_args = opts
         .args

@@ -6,7 +6,8 @@
 
 use cucc::cluster::ClusterSpec;
 use cucc::core::{
-    compile_source, Checkpoint, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, RuntimeConfig,
+    compile_source, Checkpoint, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, RunOptions,
+    RuntimeConfig,
 };
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
@@ -28,7 +29,7 @@ fn seeded(seed: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
 fn cluster(nodes: u32, faults: FaultPlan) -> CuccCluster {
     CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     )
 }
 
@@ -233,7 +234,7 @@ fn kill_join_checkpoint_restore_completes_bit_identical() {
     // count as the image, so liveness and epoch survive).
     let mut restored = CuccCluster::restore_from(
         ClusterSpec::simd_focused().with_nodes(5),
-        RuntimeConfig::builder().faults(plan).build(),
+        RunOptions::builder().faults(plan).build(),
         &path,
     )
     .unwrap();
@@ -327,7 +328,7 @@ fn restore_rejects_mismatched_configurations() {
     // Fidelity must match the image.
     let err = CuccCluster::restore(
         ClusterSpec::simd_focused().with_nodes(3),
-        RuntimeConfig::builder()
+        RunOptions::builder()
             .fidelity(cucc::core::ExecutionFidelity::Modeled)
             .build(),
         &ckpt,

@@ -4,7 +4,7 @@
 //! streams must genuinely overlap on the simulated clock.
 
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile_source, CompiledKernel, CuccCluster, RuntimeConfig};
+use cucc::core::{compile_source, CompiledKernel, CuccCluster, RunOptions, RuntimeConfig};
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
 use cucc::trace::Track;
@@ -276,4 +276,30 @@ fn default_stream_pipeline_is_serial() {
     assert!((serial - single).abs() <= 1e-9 * serial.max(single));
     assert_eq!(s_cl.timeline().spans().len(), a_cl.timeline().spans().len());
     assert_eq!(s_cl.wire_bytes(), a_cl.wire_bytes());
+}
+
+/// `launch_on` runs the same pipeline as `launch`, sanitizer included: a
+/// stream launch under `--sanitize` leaves a sanitizer report behind.
+#[test]
+fn stream_launch_runs_the_sanitizer() {
+    let ck = compile_source(SCALE).unwrap();
+    let n = 1024usize;
+    let mut cl = CuccCluster::with_options(
+        ClusterSpec::simd_focused().with_nodes(2),
+        RunOptions::builder().sanitize(true).build(),
+    );
+    let x = cl.alloc(n * 4);
+    let y = cl.alloc(n * 4);
+    let s = cl.stream_create();
+    cl.upload_on(x, &vec![1.0f32; n], s).unwrap();
+    let args = [
+        Arg::Buffer(x),
+        Arg::Buffer(y),
+        Arg::float(2.0),
+        Arg::int(n as i64),
+    ];
+    cl.launch_on(&ck, LaunchConfig::cover1(n as u64, 256), &args, s)
+        .unwrap();
+    let report = cl.sanitize_report().expect("stream launch was sanitized");
+    assert!(report.races.is_empty() && report.oob.is_empty());
 }
