@@ -34,7 +34,8 @@ impl OracleReport {
 }
 
 /// Verify a three-phase plan against the dynamic write sets of every full
-/// chunk. Runs on a scratch copy of `pool`.
+/// chunk. Runs on a scratch copy of the argument buffers
+/// ([`MemPool::scratch_for`]).
 pub fn verify_plan(
     kernel: &Kernel,
     launch: LaunchConfig,
@@ -42,7 +43,7 @@ pub fn verify_plan(
     pool: &MemPool,
     plan: &ThreePhasePlan,
 ) -> Result<OracleReport, ExecError> {
-    let mut scratch = pool.clone();
+    let mut scratch = pool.scratch_for(args);
     let mut violations = Vec::new();
     let g = plan.chunk_blocks;
     for chunk in 0..plan.full_chunks {

@@ -376,7 +376,7 @@ pub fn plan_launch(
         candidates.push(gxy);
     }
 
-    let mut scratch = pool.clone();
+    let mut scratch = pool.scratch_for(args);
     let mut last_err = String::new();
     'cand: for g in candidates {
         let full_chunks = full_blocks / g;

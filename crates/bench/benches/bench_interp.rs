@@ -9,9 +9,11 @@
 //! are covered by the equivalence suites and unit tests.
 //!
 //! Besides the criterion report, the harness re-measures each configuration
-//! directly — at 1, 2, 4 and 8 intra-node workers — and writes
-//! `BENCH_interp.json` at the repository root so docs and CI can quote the
-//! numbers: one row per (kernel, worker count) with `tree`, `bytecode` and
+//! directly — at 1, 2, 4 and 8 intra-node workers, up to the host's
+//! available parallelism (recorded as `host_parallelism`; more workers than
+//! cores would only oversubscribe them) — and writes `BENCH_interp.json` at
+//! the repository root so docs and CI can quote the numbers: one row per
+//! (kernel, worker count) with `tree`, `bytecode` and
 //! `simd` blocks/s columns (`bytecode_speedup` is vs the serial tree walk,
 //! `simd_speedup` is vs the bytecode engine at the *same* worker count),
 //! plus steady-state `*_run_blocks_per_sec` (checked) and
@@ -24,15 +26,16 @@
 //! The harness doubles as the perf-regression smoke: it panics if the
 //! vectorized tier fails to beat the bytecode engine, or if the certified
 //! unchecked path falls behind the checked path, on the saxpy or horner15
-//! serial rows — so a CI bench run fails on a vectorization or elision
-//! regression. Checked-vs-unchecked bit-identity (stats and memory) is
+//! serial rows, or — on a host with at least two cores — if saxpy-simd
+//! runs slower on 2 workers than on 1 — so a CI bench run fails on a
+//! vectorization, elision or worker-scaling regression. Checked-vs-unchecked bit-identity (stats and memory) is
 //! asserted before anything is timed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cucc_analysis::{certify_program, global_extents};
 use cucc_exec::{
-    execute_block_range, run_range, run_range_parallel, run_range_parallel_simd, run_range_simd,
-    sanitize_launch, Arg, BufferId, CertMode, MemPool, Program,
+    execute_block_range, host_parallelism, run_range, run_range_parallel, run_range_parallel_simd,
+    run_range_simd, sanitize_launch, Arg, BufferId, CertMode, MemPool, Program,
 };
 use cucc_ir::{Axis, Expr, Kernel, KernelBuilder, LaunchConfig, Scalar};
 use std::time::Instant;
@@ -40,7 +43,14 @@ use std::time::Instant;
 const BLOCKS: u32 = 128;
 const THREADS: u32 = 128;
 const N: i64 = (BLOCKS as i64) * (THREADS as i64);
+/// Worker counts swept, capped at the host's available parallelism.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+fn worker_counts() -> impl Iterator<Item = usize> {
+    WORKER_COUNTS
+        .into_iter()
+        .filter(|&w| w == 1 || w <= host_parallelism())
+}
 
 /// Which launch arguments a kernel takes (all buffers are `f32[N]`).
 #[derive(Clone, Copy)]
@@ -252,7 +262,7 @@ fn measure(
     }
 
     let mut rows = Vec::new();
-    for workers in WORKER_COUNTS {
+    for workers in worker_counts() {
         // Pre-built programs for the steady-state (run-only) rows.
         let prog_run = Program::compile(kernel, launch, &args).unwrap();
         let prog_cert = compile_certified(kernel, launch, &args, &pool_d);
@@ -265,52 +275,28 @@ fn measure(
         for _ in 0..reps {
             let t = Instant::now();
             let prog = Program::compile(kernel, launch, &args).unwrap();
-            if workers <= 1 {
-                run_range(&prog, &mut pool_b, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel(&prog, &mut pool_b, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel(&prog, &mut pool_b, 0..nblocks, workers).unwrap();
             bytecode = bytecode.min(t.elapsed().as_secs_f64());
 
             let t = Instant::now();
             let prog = Program::compile(kernel, launch, &args).unwrap();
-            if workers <= 1 {
-                run_range_simd(&prog, &mut pool_c, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel_simd(&prog, &mut pool_c, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel_simd(&prog, &mut pool_c, 0..nblocks, workers).unwrap();
             simd = simd.min(t.elapsed().as_secs_f64());
 
             let t = Instant::now();
-            if workers <= 1 {
-                run_range(&prog_run, &mut pool_b, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel(&prog_run, &mut pool_b, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel(&prog_run, &mut pool_b, 0..nblocks, workers).unwrap();
             bytecode_r = bytecode_r.min(t.elapsed().as_secs_f64());
 
             let t = Instant::now();
-            if workers <= 1 {
-                run_range_simd(&prog_run, &mut pool_c, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel_simd(&prog_run, &mut pool_c, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel_simd(&prog_run, &mut pool_c, 0..nblocks, workers).unwrap();
             simd_r = simd_r.min(t.elapsed().as_secs_f64());
 
             let t = Instant::now();
-            if workers <= 1 {
-                run_range(&prog_cert, &mut pool_d, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel(&prog_cert, &mut pool_d, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel(&prog_cert, &mut pool_d, 0..nblocks, workers).unwrap();
             bytecode_u = bytecode_u.min(t.elapsed().as_secs_f64());
 
             let t = Instant::now();
-            if workers <= 1 {
-                run_range_simd(&prog_cert, &mut pool_e, 0..nblocks).unwrap();
-            } else {
-                run_range_parallel_simd(&prog_cert, &mut pool_e, 0..nblocks, workers).unwrap();
-            }
+            run_range_parallel_simd(&prog_cert, &mut pool_e, 0..nblocks, workers).unwrap();
             simd_u = simd_u.min(t.elapsed().as_secs_f64());
         }
         rows.push(WorkerRow {
@@ -438,10 +424,22 @@ fn bench_engines(c: &mut Criterion) {
                 serial.simd_run,
             );
         }
+        // Worker scaling: a second worker on a second core must not slow
+        // the dense elementwise kernel down.
+        if *name == "saxpy" && host_parallelism() >= 2 {
+            let (one, two) = (&wrows[0], &wrows[1]);
+            assert!(
+                two.simd >= one.simd,
+                "saxpy: simd on 2 workers slower than on 1 ({:.0} < {:.0} blocks/s)",
+                two.simd,
+                one.simd,
+            );
+        }
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \"rows\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \"host_parallelism\": {},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
+        host_parallelism()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
     std::fs::write(path, &json).expect("write BENCH_interp.json");

@@ -7,13 +7,16 @@
 //! collectives in `cucc-net` really copying bytes between pools, which is
 //! what makes the end-to-end correctness tests meaningful.
 //!
-//! Functional block execution is multithreaded with scoped threads: one OS
-//! thread per simulated node (safe because pools are disjoint).
+//! Functional block execution runs on one persistent [`BlockPool`] per
+//! cluster (shared by its clones): each pass becomes a queue of
+//! `(node, block-range)` tasks drained by the pool's workers and the
+//! calling thread, with small passes run inline. Handing nodes to
+//! different threads is safe because pools are disjoint.
 
 use crate::specs::ClusterSpec;
 use cucc_exec::{
-    execute_block_range, run_range, run_range_parallel, run_range_parallel_simd, run_range_simd,
-    Arg, BlockStats, BufferId, EngineKind, ExecError, ExecOptions, MemPool, Program,
+    host_parallelism, Arg, BlockPool, BlockStats, BufferId, EngineKind, ExecError, ExecOptions,
+    MemPool, PassEngine, Program,
 };
 use cucc_ir::{Kernel, LaunchConfig};
 use cucc_net::{
@@ -21,6 +24,7 @@ use cucc_net::{
     CollectiveCost, GatherSegment,
 };
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A simulated CPU cluster.
 #[derive(Debug, Clone)]
@@ -28,13 +32,20 @@ pub struct SimCluster {
     /// Hardware description.
     pub spec: ClusterSpec,
     pools: Vec<MemPool>,
+    /// Block workers; spawned on the first pass that needs them.
+    workers: Arc<BlockPool>,
 }
 
 impl SimCluster {
-    /// Build a cluster with `spec.nodes` empty node memories.
+    /// Build a cluster with `spec.nodes` empty node memories. Spawns no
+    /// threads.
     pub fn new(spec: ClusterSpec) -> SimCluster {
         let pools = (0..spec.nodes).map(|_| MemPool::new()).collect();
-        SimCluster { spec, pools }
+        SimCluster {
+            spec,
+            pools,
+            workers: Arc::new(BlockPool::new()),
+        }
     }
 
     /// Number of nodes.
@@ -98,12 +109,12 @@ impl SimCluster {
         &mut self.pools[i]
     }
 
-    /// Worker threads one node may use for intra-node block parallelism
-    /// under `opts`, given how many node threads run concurrently and how
-    /// many blocks the node has. Conservative: 1 unless the caller opted in
-    /// via [`ExecOptions::block_parallel`], never more than the simulated
-    /// node's core count, and never so many that workers get fewer than a
-    /// handful of blocks each.
+    /// Chunks one node's range is split into for intra-node block
+    /// parallelism under `opts`, given how many nodes run concurrently and
+    /// how many blocks the node has. Conservative: 1 unless the caller
+    /// opted in via [`ExecOptions::block_parallel`], never more than the
+    /// simulated node's core count, and never so many that chunks get
+    /// fewer than a handful of blocks each.
     fn intra_node_workers(&self, opts: &ExecOptions, nodes_running: usize, nblocks: u64) -> usize {
         if !opts.block_parallel {
             return 1;
@@ -111,10 +122,7 @@ impl SimCluster {
         let req = if opts.node_threads > 0 {
             opts.node_threads
         } else {
-            let avail = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            (avail / nodes_running.max(1)).clamp(1, self.spec.cpu.cores as usize)
+            (host_parallelism() / nodes_running.max(1)).clamp(1, self.spec.cpu.cores as usize)
         };
         req.min((nblocks / 4).max(1) as usize).max(1)
     }
@@ -142,27 +150,31 @@ impl SimCluster {
         args: &[Arg],
         opts: &ExecOptions,
     ) -> Result<BlockStats, ExecError> {
-        match opts.engine {
-            EngineKind::TreeWalk => {
-                execute_block_range(kernel, launch, blocks, args, &mut self.pools[node])
-            }
+        let prog;
+        let engine = match opts.engine {
+            EngineKind::TreeWalk => PassEngine::TreeWalk {
+                kernel,
+                launch,
+                args,
+            },
             EngineKind::Bytecode => {
-                let prog = Program::compile(kernel, launch, args)?;
-                let nblocks = blocks.end.saturating_sub(blocks.start);
-                let workers = self.intra_node_workers(opts, 1, nblocks);
-                run_range_parallel(&prog, &mut self.pools[node], blocks, workers)
+                prog = Program::compile(kernel, launch, args)?;
+                PassEngine::Bytecode(&prog)
             }
             EngineKind::Simd => {
-                let prog = Program::compile(kernel, launch, args)?;
-                let nblocks = blocks.end.saturating_sub(blocks.start);
-                let workers = self.intra_node_workers(opts, 1, nblocks);
-                run_range_parallel_simd(&prog, &mut self.pools[node], blocks, workers)
+                prog = Program::compile(kernel, launch, args)?;
+                PassEngine::Simd(&prog)
             }
-        }
+        };
+        let nblocks = blocks.end.saturating_sub(blocks.start);
+        let chunks = self.intra_node_workers(opts, 1, nblocks);
+        let pools = std::slice::from_mut(&mut self.pools[node]);
+        let mut out = self.workers.run_pass(engine, pools, &[blocks], &[chunks]);
+        out.pop().expect("one node")
     }
 
     /// Execute per-node block ranges **in parallel** on the tree-walk
-    /// interpreter (one thread per node). The compiled engines run through
+    /// interpreter (one task per node). The compiled engines run through
     /// [`SimCluster::run_program_parallel`] instead, on a program compiled
     /// once per launch.
     ///
@@ -177,26 +189,21 @@ impl SimCluster {
         args: &[Arg],
     ) -> Result<Vec<BlockStats>, ExecError> {
         assert_eq!(assignments.len(), self.pools.len());
-        let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .pools
-                .iter_mut()
-                .zip(assignments.iter().cloned())
-                .map(|(pool, range)| {
-                    s.spawn(move || execute_block_range(kernel, launch, range, args, pool))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("node thread panicked"));
-            }
-        });
-        results.into_iter().collect()
+        let engine = PassEngine::TreeWalk {
+            kernel,
+            launch,
+            args,
+        };
+        let chunks = vec![1; assignments.len()];
+        self.workers
+            .run_pass(engine, &mut self.pools, assignments, &chunks)
+            .into_iter()
+            .collect()
     }
 
     /// Execute per-node block ranges of an already-compiled [`Program`] in
-    /// parallel (one thread per node, each optionally fanning out across
-    /// intra-node workers). Compile once per launch, then reuse the program
+    /// parallel (one task per node, or ascending chunks of it under intra-
+    /// node parallelism). Compile once per launch, then reuse the program
     /// for every phase that shares the launch — this is the engine's
     /// compile-once contract.
     pub fn run_program_parallel(
@@ -207,35 +214,21 @@ impl SimCluster {
     ) -> Result<Vec<BlockStats>, ExecError> {
         assert_eq!(assignments.len(), self.pools.len());
         let nodes_running = assignments.iter().filter(|r| !r.is_empty()).count();
-        let workers: Vec<usize> = assignments
+        let chunks: Vec<usize> = assignments
             .iter()
             .map(|r| {
                 let nblocks = r.end.saturating_sub(r.start);
                 self.intra_node_workers(opts, nodes_running, nblocks)
             })
             .collect();
-        let simd = opts.engine == EngineKind::Simd;
-        let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .pools
-                .iter_mut()
-                .zip(assignments.iter().cloned())
-                .zip(workers.iter().copied())
-                .map(|((pool, range), w)| {
-                    s.spawn(move || match (simd, w) {
-                        (false, 0..=1) => run_range(prog, pool, range),
-                        (false, _) => run_range_parallel(prog, pool, range, w),
-                        (true, 0..=1) => run_range_simd(prog, pool, range),
-                        (true, _) => run_range_parallel_simd(prog, pool, range, w),
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("node thread panicked"));
-            }
-        });
-        results.into_iter().collect()
+        let engine = match opts.engine {
+            EngineKind::Simd => PassEngine::Simd(prog),
+            _ => PassEngine::Bytecode(prog),
+        };
+        self.workers
+            .run_pass(engine, &mut self.pools, assignments, &chunks)
+            .into_iter()
+            .collect()
     }
 
     /// Balanced Allgather over the byte region

@@ -655,11 +655,11 @@ impl CuccCluster {
         Ok((report, sched))
     }
 
-    /// Run the dynamic sanitizer on a scratch clone of node 0's memory and
-    /// cross-validate the static verifier, the same way `oracle.rs`
-    /// validates distribution plans: a dynamic race (or OOB) observed on a
-    /// launch the verifier proved race-free (or in-bounds) is a soundness
-    /// bug and fails the launch loudly. The sanitizer itself is
+    /// Run the dynamic sanitizer on a scratch copy of the launch's argument
+    /// buffers and cross-validate the static verifier, the same way
+    /// `oracle.rs` validates distribution plans: a dynamic race (or OOB)
+    /// observed on a launch the verifier proved race-free (or in-bounds) is
+    /// a soundness bug and fails the launch loudly. The sanitizer itself is
     /// observational — findings are stored on [`CuccCluster::sanitize_report`],
     /// not treated as errors (the real execution below still traps OOB).
     fn run_sanitizer(

@@ -5,8 +5,8 @@
 //! local arrays and the block's shared-memory image, allocated once per
 //! `run_*` call and reset per block. [`run_range`] executes a contiguous
 //! block range serially (the same ascending order as the tree-walk oracle);
-//! [`run_range_parallel`] chunks the range across scoped worker threads for
-//! intra-node block parallelism.
+//! [`run_range_parallel`] chunks the range across the persistent
+//! [`crate::pool::BlockPool`] workers for intra-node block parallelism.
 //!
 //! Parallel legality: CUDA guarantees no ordering between blocks, so any
 //! interleaving of block execution is a valid GPU execution. Workers share
@@ -24,6 +24,7 @@ use crate::interp::{
     slice_store, Arg, ExecError,
 };
 use crate::memory::{decode, encode, BufferId, MemPool};
+use crate::pool::{BlockPool, PassEngine};
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
 use std::fmt;
@@ -132,10 +133,11 @@ pub(crate) struct RacyView {
     bufs: Vec<(*mut u8, usize)>,
 }
 
-// SAFETY: the view only exists while `run_range_parallel` holds `&mut
-// MemPool`, so the pointed-to allocations are alive and not accessed
-// through the pool for the whole scope; all accesses are bounds-checked
-// byte copies (see type-level comment for the data-race contract).
+// SAFETY: a view only exists inside `BlockPool::split_pass`, which holds the
+// node's `&mut MemPool` until every chunk has finished, so the pointed-to
+// allocations are alive and not accessed through the pool for the whole
+// scope; all accesses are bounds-checked byte copies (see type-level
+// comment for the data-race contract).
 unsafe impl Send for RacyView {}
 
 impl RacyView {
@@ -1726,19 +1728,31 @@ pub fn run_range(
     pool: &mut MemPool,
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
+    run_range_on(prog, pool, blocks)
+}
+
+/// [`run_range`] over any global memory: a node's pool, or the view one
+/// chunk of an intra-node parallel pass shares with its siblings.
+pub(crate) fn run_range_on<M: GlobalMem>(
+    prog: &Program,
+    mem: &mut M,
+    blocks: Range<u64>,
+) -> Result<BlockStats, ExecError> {
     let mut eng = BlockEngine::new(prog);
     let mut total = BlockStats::default();
     for b in blocks {
-        total += eng.run_block(pool, b)?;
+        total += eng.run_block(mem, b)?;
     }
     Ok(total)
 }
 
-/// Execute a contiguous block range chunked across up to `workers` scoped
-/// threads. Falls back to [`run_range`] when one worker suffices or the
-/// program is [`Program::serial_only`] (global atomics).
+/// Execute a contiguous block range split into up to `workers` ascending
+/// chunks on the workers of one process-wide [`BlockPool`]. Runs serially
+/// when one chunk suffices or the program is [`Program::serial_only`]
+/// (global atomics); unlike a cluster pass, a range below
+/// [`crate::INLINE_BLOCKS`] is still split.
 ///
-/// Per-worker [`BlockStats`] are summed at the end; since every counter is
+/// Per-chunk [`BlockStats`] are summed at the end; since every counter is
 /// a plain `u64` total, the merged stats are bit-identical to a serial run
 /// regardless of interleaving. On error the first failing block in
 /// ascending order wins (chunks are ascending and each chunk runs
@@ -1749,45 +1763,10 @@ pub fn run_range_parallel(
     blocks: Range<u64>,
     workers: usize,
 ) -> Result<BlockStats, ExecError> {
-    let nblocks = blocks.end.saturating_sub(blocks.start);
-    let workers = workers.min(nblocks.min(usize::MAX as u64) as usize);
-    if workers <= 1 || prog.serial_only() {
-        return run_range(prog, pool, blocks);
-    }
-    let view = RacyView::new(pool);
-    let chunks: Vec<Range<u64>> = (0..workers as u64)
-        .map(|i| {
-            let lo = blocks.start + i * nblocks / workers as u64;
-            let hi = blocks.start + (i + 1) * nblocks / workers as u64;
-            lo..hi
-        })
-        .filter(|r| !r.is_empty())
-        .collect();
-    let results: Vec<Result<BlockStats, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                let mut v = view.clone();
-                s.spawn(move || {
-                    let mut eng = BlockEngine::new(prog);
-                    let mut total = BlockStats::default();
-                    for b in r {
-                        total += eng.run_block(&mut v, b)?;
-                    }
-                    Ok(total)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
-    let mut total = BlockStats::default();
-    for r in results {
-        total += r?;
-    }
-    Ok(total)
+    let engine = PassEngine::Bytecode(prog);
+    let mut out =
+        BlockPool::shared().split_pass(engine, std::slice::from_mut(pool), &[blocks], &[workers]);
+    out.pop().expect("one node")
 }
 
 /// Compile `kernel` for `launch` and execute every block with the bytecode

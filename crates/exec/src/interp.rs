@@ -301,7 +301,7 @@ pub struct LaunchProfile {
 }
 
 /// Sample up to `samples` evenly spaced blocks plus the tail block on a
-/// scratch copy of memory, and extrapolate to the full launch.
+/// scratch copy of the argument buffers, and extrapolate to the full launch.
 ///
 /// SPMD symmetry makes this accurate for the paper's kernels: all non-tail
 /// blocks execute the same instruction mix.
@@ -313,7 +313,7 @@ pub fn profile_launch(
     samples: usize,
 ) -> Result<LaunchProfile, ExecError> {
     let nb = launch.num_blocks();
-    let mut scratch = pool.clone();
+    let mut scratch = pool.scratch_for(args);
     check_args(kernel, args)?;
     let mut arena = BlockArena::new(kernel, launch);
     let tail = run_block_prepared(kernel, launch, nb - 1, args, &mut scratch, &mut arena, None)?;

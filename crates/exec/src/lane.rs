@@ -25,13 +25,14 @@
 use crate::bytecode::{BatchKind, LaneOp, LanePlan, PhaseOp, Program, Reg, SlotKind};
 use crate::engine::{
     cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_seg, slot_info, store_value,
-    GlobalMem, RacyView,
+    GlobalMem,
 };
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, Arg,
     ExecError,
 };
 use crate::memory::MemPool;
+use crate::pool::{BlockPool, PassEngine};
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
 use std::ops::Range;
@@ -2070,64 +2071,40 @@ pub fn run_range_simd(
     pool: &mut MemPool,
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
+    run_range_simd_on(prog, pool, blocks)
+}
+
+/// [`run_range_simd`] over any global memory (a node's pool or a chunk's
+/// shared view).
+pub(crate) fn run_range_simd_on<M: GlobalMem>(
+    prog: &Program,
+    mem: &mut M,
+    blocks: Range<u64>,
+) -> Result<BlockStats, ExecError> {
     let mut eng = LaneEngine::new(prog);
     let mut total = BlockStats::default();
     for b in blocks {
-        total += eng.run_block(pool, b)?;
+        total += eng.run_block(mem, b)?;
     }
     Ok(total)
 }
 
-/// Lane-array counterpart of `run_range_parallel`: chunk the block range
-/// across up to `workers` scoped threads, each running its own
-/// [`LaneEngine`] over a shared `RacyView`. Falls back to [`run_range_simd`]
-/// when one worker suffices or the program is `Program::serial_only`
-/// (global atomics).
+/// Lane-array counterpart of `run_range_parallel`: split the block range
+/// into up to `workers` ascending chunks on the workers of one
+/// process-wide [`BlockPool`], each chunk running its own
+/// [`LaneEngine`]. Runs serially when one chunk suffices or the program is
+/// `Program::serial_only` (global atomics); a range below
+/// [`crate::INLINE_BLOCKS`] is still split.
 pub fn run_range_parallel_simd(
     prog: &Program,
     pool: &mut MemPool,
     blocks: Range<u64>,
     workers: usize,
 ) -> Result<BlockStats, ExecError> {
-    let nblocks = blocks.end.saturating_sub(blocks.start);
-    let workers = workers.min(nblocks.min(usize::MAX as u64) as usize);
-    if workers <= 1 || prog.serial_only() {
-        return run_range_simd(prog, pool, blocks);
-    }
-    let view = RacyView::new(pool);
-    let chunks: Vec<Range<u64>> = (0..workers as u64)
-        .map(|i| {
-            let lo = blocks.start + i * nblocks / workers as u64;
-            let hi = blocks.start + (i + 1) * nblocks / workers as u64;
-            lo..hi
-        })
-        .filter(|r| !r.is_empty())
-        .collect();
-    let results: Vec<Result<BlockStats, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                let mut v = view.clone();
-                s.spawn(move || {
-                    let mut eng = LaneEngine::new(prog);
-                    let mut total = BlockStats::default();
-                    for b in r {
-                        total += eng.run_block(&mut v, b)?;
-                    }
-                    Ok(total)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("lane engine worker panicked"))
-            .collect()
-    });
-    let mut total = BlockStats::default();
-    for r in results {
-        total += r?;
-    }
-    Ok(total)
+    let engine = PassEngine::Simd(prog);
+    let mut out =
+        BlockPool::shared().split_pass(engine, std::slice::from_mut(pool), &[blocks], &[workers]);
+    out.pop().expect("one node")
 }
 
 /// Compile `kernel` for `launch` and execute every block with the

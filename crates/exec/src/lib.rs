@@ -25,12 +25,14 @@
 //! [`Program`]: batchable segments execute instruction-major over chunked
 //! SoA lane-arrays with superinstruction fusion, falling back to the scalar
 //! path elsewhere — bit-identical results, `EngineKind::Simd` to select it.
+//! [`pool`] runs the block tasks of a pass on persistent worker threads.
 
 pub mod bytecode;
 pub mod engine;
 pub mod interp;
 pub mod lane;
 pub mod memory;
+pub mod pool;
 pub mod sanitize;
 pub mod stats;
 
@@ -42,6 +44,7 @@ pub use interp::{
 };
 pub use lane::{execute_launch_simd, run_range_parallel_simd, run_range_simd};
 pub use memory::{BufferId, MemPool};
+pub use pool::{host_parallelism, BlockPool, PassEngine, INLINE_BLOCKS};
 pub use sanitize::{
     cross_validate_certs, sanitize_launch, OobFinding, RaceFinding, SanitizeReport,
 };

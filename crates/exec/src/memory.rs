@@ -5,6 +5,7 @@
 //! node owns its own pool — the pools are genuinely disjoint `Vec<u8>`s, so
 //! any consistency the runtime achieves is achieved by really moving bytes.
 
+use crate::interp::Arg;
 use cucc_ir::{Scalar, Value};
 
 /// Handle to one allocation in a [`MemPool`].
@@ -41,6 +42,22 @@ impl MemPool {
     /// Allocate room for `len` elements of type `elem`.
     pub fn alloc_elems(&mut self, elem: Scalar, len: usize) -> BufferId {
         self.alloc(elem.size() * len)
+    }
+
+    /// A scratch copy for running a launch with `args` without touching
+    /// this pool: the argument buffers are copied and every other buffer
+    /// is left empty, so ids stay the same. Costs the launch's footprint
+    /// rather than every tenant's resident memory.
+    pub fn scratch_for(&self, args: &[Arg]) -> MemPool {
+        let mut bufs = vec![Vec::new(); self.bufs.len()];
+        for a in args {
+            if let Arg::Buffer(id) = *a {
+                if let Some(src) = self.bufs.get(id.index()) {
+                    bufs[id.index()].clone_from(src);
+                }
+            }
+        }
+        MemPool { bufs }
     }
 
     /// Number of allocations.
@@ -201,6 +218,19 @@ mod tests {
         assert!(p.store(b, Scalar::I32, 2, Value::I64(-7)));
         assert_eq!(p.load(b, Scalar::I32, 2), Some(Value::I64(-7)));
         assert_eq!(p.load(b, Scalar::I32, 0), Some(Value::I64(0)));
+    }
+
+    #[test]
+    fn scratch_copies_only_argument_buffers() {
+        let mut p = MemPool::new();
+        let resident = p.alloc(1 << 16);
+        let arg = p.alloc(8);
+        p.bytes_mut(resident).fill(9);
+        p.bytes_mut(arg).copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let s = p.scratch_for(&[Arg::Buffer(arg), Arg::int(3)]);
+        assert_eq!(s.len(), p.len(), "ids stay the same");
+        assert_eq!(s.bytes(arg), p.bytes(arg));
+        assert!(s.bytes(resident).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This is the runtime counterpart of the static verifier in
 //! `cucc-analysis::verify`, playing the same role `oracle.rs` plays for the
 //! distribution planner: an independent, brute-force ground truth. Every
-//! block of the launch runs on a scratch clone of the memory pool with the
+//! block of the launch runs on a scratch copy of the argument buffers with the
 //! interpreter's write tracing enabled; the per-block write logs are
 //! coalesced into byte intervals and swept for **inter-block overlaps**
 //! (write-write races — node-order-dependent after migration), while any
@@ -135,9 +135,9 @@ fn coalesce(block: u64, records: &[WriteRecord], out: &mut Vec<Interval>) {
     }
 }
 
-/// Run every block of the launch with write tracing on a scratch clone of
-/// `pool` and report all inter-block write-write overlaps, OOB traps and
-/// other faults. Purely observational: the caller's pool is untouched.
+/// Run every block of the launch with write tracing on a scratch copy of
+/// `pool`'s argument buffers and report all inter-block write-write
+/// overlaps, OOB traps and other faults. Purely observational: the caller's pool is untouched.
 pub fn sanitize_launch(
     kernel: &Kernel,
     launch: LaunchConfig,
@@ -145,7 +145,7 @@ pub fn sanitize_launch(
     pool: &MemPool,
 ) -> SanitizeReport {
     let mut report = SanitizeReport::default();
-    let mut scratch = pool.clone();
+    let mut scratch = pool.scratch_for(args);
     let mut intervals: Vec<Interval> = Vec::new();
     let mut trace: Vec<WriteRecord> = Vec::new();
     for block in 0..launch.num_blocks() {
